@@ -20,6 +20,7 @@ import (
 	"github.com/socialtube/socialtube/internal/figures"
 	"github.com/socialtube/socialtube/internal/metrics"
 	"github.com/socialtube/socialtube/internal/obs"
+	"github.com/socialtube/socialtube/internal/trace"
 )
 
 func main() {
@@ -39,7 +40,7 @@ func run(args []string) (retErr error) {
 		skipLoad  = fs.Bool("skip-load", false, "skip the open-loop load sweep")
 		shards    = fs.Int("shards", 0, "run the scalability sweep on the community-sharded engine with this many workers (0 = classic single-loop engine)")
 		benchOut  = fs.String("bench-out", "BENCH_scale.json", "append scale-sweep points to this JSONL file (empty disables)")
-		failOut   = fs.String("failover-out", "BENCH_failover.json", "append failover points to this JSONL file (empty disables)")
+		failOut   = fs.String("failover-out", "BENCH_failover.json", "append the failover, outage-shard and takeover points to this JSONL file (empty disables)")
 		tlOut     = fs.String("timeline-out", "BENCH_timeline.json", "append telemetry-timeline points to this JSONL file (empty disables)")
 		loadOut   = fs.String("load-out", "BENCH_load.json", "append open-loop load points to this JSONL file (empty disables)")
 		traceOut  = fs.String("trace-out", "", "write simulation protocol events as JSON Lines to this file")
@@ -126,7 +127,7 @@ func run(args []string) (retErr error) {
 	}
 	fmt.Println(tt)
 	if *tlOut != "" {
-		if err := figures.AppendTimelinePoints(*tlOut, tt.Points); err != nil {
+		if err := figures.AppendPoints(*tlOut, tt.Points); err != nil {
 			return err
 		}
 		fmt.Printf("appended %d timeline points to %s\n\n", len(tt.Points), *tlOut)
@@ -144,7 +145,7 @@ func run(args []string) (retErr error) {
 		}
 		fmt.Println(fl)
 		if *loadOut != "" {
-			if err := figures.AppendLoadPoints(*loadOut, fl.Points); err != nil {
+			if err := figures.AppendPoints(*loadOut, fl.Points); err != nil {
 				return err
 			}
 			fmt.Printf("appended %d load points to %s\n\n", len(fl.Points), *loadOut)
@@ -164,7 +165,7 @@ func run(args []string) (retErr error) {
 		}
 		fmt.Println(fsc)
 		if *benchOut != "" {
-			if err := figures.AppendScalePoints(*benchOut, fsc.Points); err != nil {
+			if err := figures.AppendPoints(*benchOut, fsc.Points); err != nil {
 				return err
 			}
 			fmt.Printf("appended %d scale points to %s\n\n", len(fsc.Points), *benchOut)
@@ -199,27 +200,20 @@ func run(args []string) (retErr error) {
 			return err
 		}
 		fmt.Println(eo)
-		eso, err := figures.FigShardedOutage(es, etr)
-		if err != nil {
-			return err
-		}
-		fmt.Println(eso)
-		if *failOut != "" {
-			if err := figures.AppendShardedOutagePoints(*failOut, eso.Points); err != nil {
+		for _, fig := range []func(figures.EmuScale, *trace.Trace) (*figures.FigPlaneResult, error){
+			figures.FigShardedOutage, figures.FigTakeover,
+		} {
+			f, err := fig(es, etr)
+			if err != nil {
 				return err
 			}
-			fmt.Printf("appended %d sharded-outage points to %s\n\n", len(eso.Points), *failOut)
-		}
-		eto, err := figures.FigTakeover(es, etr)
-		if err != nil {
-			return err
-		}
-		fmt.Println(eto)
-		if *failOut != "" {
-			if err := figures.AppendTakeoverPoints(*failOut, eto.Points); err != nil {
-				return err
+			fmt.Println(f)
+			if *failOut != "" {
+				if err := figures.AppendPoints(*failOut, f.Points); err != nil {
+					return err
+				}
+				fmt.Printf("appended %d control-plane points to %s\n\n", len(f.Points), *failOut)
 			}
-			fmt.Printf("appended %d takeover points to %s\n\n", len(eto.Points), *failOut)
 		}
 		ef, err := figures.FigFailover(es, etr)
 		if err != nil {
@@ -227,7 +221,7 @@ func run(args []string) (retErr error) {
 		}
 		fmt.Println(ef)
 		if *failOut != "" {
-			if err := figures.AppendFailoverPoints(*failOut, ef.Points); err != nil {
+			if err := figures.AppendPoints(*failOut, ef.Points); err != nil {
 				return err
 			}
 			fmt.Printf("appended %d failover points to %s\n\n", len(ef.Points), *failOut)

@@ -30,7 +30,7 @@ func run(args []string) (retErr error) {
 	fs := flag.NewFlagSet("socialtube-emu", flag.ContinueOnError)
 	var (
 		fig      = fs.String("fig", "all", "figure to regenerate: 16b, 17b, 18b, outage, outage-shard, takeover, failover or all")
-		benchOut = fs.String("bench-out", "", "append failover points to this JSONL file (empty disables)")
+		benchOut = fs.String("bench-out", "", "append the failover, outage-shard and takeover points to this JSONL file (empty disables)")
 		peers    = fs.Int("peers", 24, "number of TCP peers")
 		sessions = fs.Int("sessions", 2, "sessions per peer")
 		videos   = fs.Int("videos", 6, "videos per session")
@@ -112,29 +112,21 @@ func run(args []string) (retErr error) {
 				return err
 			}
 			fmt.Println(t)
-		case "outage-shard":
-			f, err := figures.FigShardedOutage(s, tr)
+		case "outage-shard", "takeover":
+			fig := figures.FigShardedOutage
+			if id == "takeover" {
+				fig = figures.FigTakeover
+			}
+			f, err := fig(s, tr)
 			if err != nil {
 				return err
 			}
 			fmt.Println(f)
 			if *benchOut != "" {
-				if err := figures.AppendShardedOutagePoints(*benchOut, f.Points); err != nil {
+				if err := figures.AppendPoints(*benchOut, f.Points); err != nil {
 					return err
 				}
-				fmt.Printf("appended %d sharded-outage points to %s\n\n", len(f.Points), *benchOut)
-			}
-		case "takeover":
-			f, err := figures.FigTakeover(s, tr)
-			if err != nil {
-				return err
-			}
-			fmt.Println(f)
-			if *benchOut != "" {
-				if err := figures.AppendTakeoverPoints(*benchOut, f.Points); err != nil {
-					return err
-				}
-				fmt.Printf("appended %d takeover points to %s\n\n", len(f.Points), *benchOut)
+				fmt.Printf("appended %d %s points to %s\n\n", len(f.Points), id, *benchOut)
 			}
 		case "failover":
 			f, err := figures.FigFailover(s, tr)
@@ -143,7 +135,7 @@ func run(args []string) (retErr error) {
 			}
 			fmt.Println(f)
 			if *benchOut != "" {
-				if err := figures.AppendFailoverPoints(*benchOut, f.Points); err != nil {
+				if err := figures.AppendPoints(*benchOut, f.Points); err != nil {
 					return err
 				}
 				fmt.Printf("appended %d failover points to %s\n\n", len(f.Points), *benchOut)

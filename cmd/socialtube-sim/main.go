@@ -54,7 +54,7 @@ func runScaleSweep(scaleName string, seed int64, benchOut string, shards, users 
 	}
 	fmt.Println(f)
 	if benchOut != "" {
-		if err := figures.AppendScalePoints(benchOut, f.Points); err != nil {
+		if err := figures.AppendPoints(benchOut, f.Points); err != nil {
 			return err
 		}
 		fmt.Printf("appended %d points to %s\n", len(f.Points), benchOut)
@@ -120,7 +120,7 @@ func runLoadSweep(scaleName string, seed int64, benchOut string, shards, users i
 	}
 	fmt.Println(f)
 	if benchOut != "" {
-		if err := figures.AppendLoadPoints(benchOut, f.Points); err != nil {
+		if err := figures.AppendPoints(benchOut, f.Points); err != nil {
 			return err
 		}
 		fmt.Printf("appended %d points to %s\n", len(f.Points), benchOut)
@@ -339,7 +339,7 @@ func run(args []string) (retErr error) {
 			}
 			fmt.Println(t)
 			if *benchOut != "" {
-				if err := figures.AppendTimelinePoints(*benchOut, t.Points); err != nil {
+				if err := figures.AppendPoints(*benchOut, t.Points); err != nil {
 					return err
 				}
 				fmt.Printf("appended %d points to %s\n", len(t.Points), *benchOut)

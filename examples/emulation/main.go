@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -53,7 +54,12 @@ func run() error {
 			break
 		}
 	}
-	peerA, err := socialtube.NewPeer(socialtube.DefaultPeerConfig(a, socialtube.ModeSocialTube), tr, tracker.Addr(), cond)
+	// A single tracker is a 1x1 control plane.
+	plane, err := socialtube.NewControlPlaneClient(0, [][]string{{tracker.Addr()}})
+	if err != nil {
+		return err
+	}
+	peerA, err := socialtube.NewPeerWithControlPlane(socialtube.DefaultPeerConfig(a, socialtube.ModeSocialTube), tr, plane, cond)
 	if err != nil {
 		return err
 	}
@@ -61,7 +67,7 @@ func run() error {
 		return err
 	}
 	defer peerA.Stop()
-	peerB, err := socialtube.NewPeer(socialtube.DefaultPeerConfig(b, socialtube.ModeSocialTube), tr, tracker.Addr(), cond)
+	peerB, err := socialtube.NewPeerWithControlPlane(socialtube.DefaultPeerConfig(b, socialtube.ModeSocialTube), tr, plane, cond)
 	if err != nil {
 		return err
 	}
@@ -87,7 +93,7 @@ func run() error {
 		cfg.Sessions = 2
 		cfg.VideosPerSession = 5
 		cfg.WatchTime = 15 * time.Millisecond
-		res, err := socialtube.RunCluster(cfg, tr)
+		res, err := socialtube.RunClusterCtx(context.Background(), cfg, tr)
 		if err != nil {
 			return err
 		}

@@ -101,22 +101,6 @@ func NewControlPlaneClient(ringSeed int64, replicas [][]string) (*ControlPlane, 
 	return &ControlPlane{cfg: cfg, dir: dir}, nil
 }
 
-// SingleTracker wraps one tracker address as a 1x1 control plane — the
-// documented shim keeping the legacy NewPeer(cfg, tr, trackerAddr, cond)
-// path alive. Routing through it is bit-identical to dialing the address
-// directly: one shard owns every channel and the single endpoint never
-// enters the failover walk.
-func SingleTracker(addr string) *ControlPlane {
-	cp, err := NewControlPlaneClient(0, [][]string{{addr}})
-	if err != nil {
-		// Only possible for an empty address; keep the legacy constructor
-		// signature (no error) and let the first RPC surface the problem.
-		cp = &ControlPlane{cfg: ControlPlaneConfig{Shards: 1, Replicas: 1}}
-		cp.dir, _ = ctrl.NewDirectory(0, [][]string{{"invalid:0"}})
-	}
-	return cp
-}
-
 // StartControlPlane launches Shards x Replicas trackers over the trace
 // and wires each shard's replicas together with gossip. The tracker
 // template tc supplies every tracker's parameters; replica trackers get

@@ -21,13 +21,14 @@ func startPlane(t *testing.T, tr *trace.Trace, cfg ControlPlaneConfig) *ControlP
 	return cp
 }
 
-// TestSingleTrackerShim pins the legacy shim's shape: one shard owning
-// every key, one endpoint, and inert server-side methods (a client-only
-// plane must be safe to target with fault handles).
-func TestSingleTrackerShim(t *testing.T) {
-	cp := SingleTracker("127.0.0.1:1")
+// TestOneByOnePlaneClient pins the single-tracker topology as a 1x1
+// routing-only plane: one shard owning every key, one endpoint, and
+// inert server-side methods (a client-only plane must be safe to target
+// with fault handles).
+func TestOneByOnePlaneClient(t *testing.T) {
+	cp := onePlane(t, "127.0.0.1:1")
 	if cp.NumShards() != 1 || cp.Endpoints() != 1 {
-		t.Fatalf("shim plane is %dx%d endpoints=%d, want 1x1", cp.NumShards(), 1, cp.Endpoints())
+		t.Fatalf("plane is %dx%d endpoints=%d, want 1x1", cp.NumShards(), 1, cp.Endpoints())
 	}
 	for _, key := range []int64{0, 1, 42, 1 << 40} {
 		if cp.Owner(key) != 0 {

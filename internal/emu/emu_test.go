@@ -46,10 +46,20 @@ func startTracker(t *testing.T, tr *trace.Trace, cond *Conditions) *Tracker {
 	return tk
 }
 
+// onePlane wraps one tracker address as a 1x1 routing-only control plane.
+func onePlane(tb testing.TB, addr string) *ControlPlane {
+	tb.Helper()
+	cp, err := NewControlPlaneClient(0, [][]string{{addr}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return cp
+}
+
 func startPeer(t *testing.T, tr *trace.Trace, tk *Tracker, id int, mode Mode, cond *Conditions) *Peer {
 	t.Helper()
 	cfg := DefaultPeerConfig(id, mode)
-	p, err := NewPeer(cfg, tr, tk.Addr(), cond)
+	p, err := NewPeerWithControlPlane(cfg, tr, onePlane(t, tk.Addr()), cond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +359,7 @@ func TestProbeDropsDeadLinks(t *testing.T) {
 	v := tr.Videos[0].ID
 
 	cfgB := DefaultPeerConfig(1, ModeNetTube)
-	pb, err := NewPeer(cfgB, tr, tk.Addr(), cond)
+	pb, err := NewPeerWithControlPlane(cfgB, tr, onePlane(t, tk.Addr()), cond)
 	if err != nil {
 		t.Fatal(err)
 	}

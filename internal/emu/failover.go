@@ -167,6 +167,10 @@ func RunFailover(cfg FailoverConfig, tr *trace.Trace) (*FailoverResult, error) {
 		return nil, err
 	}
 	defer tracker.Stop()
+	plane, err := NewControlPlaneClient(0, [][]string{{tracker.Addr()}})
+	if err != nil {
+		return nil, err
+	}
 
 	peers := make([]*Peer, 0, cfg.Providers+1)
 	defer func() {
@@ -181,7 +185,7 @@ func RunFailover(cfg FailoverConfig, tr *trace.Trace) (*FailoverResult, error) {
 		pc.Seed = cfg.Seed + int64(i)*7919
 		pc.BreakerThreshold = cfg.BreakerThreshold
 		pc.BreakerOpenFor = cfg.BreakerOpenFor
-		p, err := NewPeer(pc, tr, tracker.Addr(), nil)
+		p, err := NewPeerWithControlPlane(pc, tr, plane, nil)
 		if err != nil {
 			return nil, err
 		}

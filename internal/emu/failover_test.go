@@ -17,7 +17,7 @@ func startPeerCfg(t *testing.T, tr *trace.Trace, tk *Tracker, id int, mode Mode,
 	if tune != nil {
 		tune(&cfg)
 	}
-	p, err := NewPeer(cfg, tr, tk.Addr(), cond)
+	p, err := NewPeerWithControlPlane(cfg, tr, onePlane(t, tk.Addr()), cond)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func TestPeerFallsBackWhenProviderDies(t *testing.T) {
 	tk := startTracker(t, tr, cond)
 	v := tr.Videos[0].ID
 
-	provider, err := NewPeer(DefaultPeerConfig(0, ModeSocialTube), tr, tk.Addr(), cond)
+	provider, err := NewPeerWithControlPlane(DefaultPeerConfig(0, ModeSocialTube), tr, onePlane(t, tk.Addr()), cond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestTrackerStopIsIdempotent(t *testing.T) {
 	}
 	tk.Stop()
 	tk.Stop()
-	p, err := NewPeer(DefaultPeerConfig(0, ModeSocialTube), tr, tk.Addr(), cond)
+	p, err := NewPeerWithControlPlane(DefaultPeerConfig(0, ModeSocialTube), tr, onePlane(t, tk.Addr()), cond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestRequestAgainstDeadTracker(t *testing.T) {
 
 	cfg := DefaultPeerConfig(0, ModeSocialTube)
 	cfg.RPCTimeout = 300 * time.Millisecond
-	p, err := NewPeer(cfg, tr, addr, cond)
+	p, err := NewPeerWithControlPlane(cfg, tr, onePlane(t, addr), cond)
 	if err != nil {
 		t.Fatal(err)
 	}

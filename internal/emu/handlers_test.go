@@ -114,7 +114,7 @@ func TestHandleConnectRespectsBudgets(t *testing.T) {
 	tk := startTracker(t, tr, fastConditions())
 	cfg := DefaultPeerConfig(0, ModeSocialTube)
 	cfg.InterLinks = 1
-	p, err := NewPeer(cfg, tr, tk.Addr(), fastConditions())
+	p, err := NewPeerWithControlPlane(cfg, tr, onePlane(t, tk.Addr()), fastConditions())
 	if err != nil {
 		t.Fatal(err)
 	}

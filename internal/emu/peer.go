@@ -197,15 +197,6 @@ type Peer struct {
 	onChunk func(v trace.VideoID, chunk, provider int)
 }
 
-// NewPeer builds a peer that talks to one tracker address. It is the
-// documented single-shard shim over NewPeerWithControlPlane: the address
-// is wrapped in a 1x1 SingleTracker plane, whose routing is identical to
-// dialing the address directly. New code should build a ControlPlane and
-// use NewPeerWithControlPlane.
-func NewPeer(cfg PeerConfig, tr *trace.Trace, trackerAddr string, cond *Conditions) (*Peer, error) {
-	return NewPeerWithControlPlane(cfg, tr, SingleTracker(trackerAddr), cond)
-}
-
 // NewPeerWithControlPlane builds a peer over the trace, routing every
 // tracker-path RPC through the control plane's shard directory. Call
 // Start before use.

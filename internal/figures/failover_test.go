@@ -1,9 +1,6 @@
 package figures
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -58,7 +55,7 @@ func TestFailoverOrdering(t *testing.T) {
 }
 
 // TestFailoverDeterministic runs the whole figure twice under one seed
-// and requires the canonical points (environmental block zeroed) to be
+// and requires the canonical points (environmental block dropped) to be
 // byte-identical JSON.
 func TestFailoverDeterministic(t *testing.T) {
 	if testing.Short() {
@@ -69,55 +66,20 @@ func TestFailoverDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	canonical := func() []byte {
+	points := func() string {
 		t.Helper()
 		f, err := FigFailover(s, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pts := make([]FailoverPoint, len(f.Points))
-		for i, p := range f.Points {
-			pts[i] = p.Canonical()
+		var b strings.Builder
+		for _, p := range f.Points {
+			b.WriteString(canonical(t, p) + "\n")
 		}
-		b, err := json.Marshal(pts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
+		return b.String()
 	}
-	a, b := canonical(), canonical()
-	if string(a) != string(b) {
+	a, b := points(), points()
+	if a != b {
 		t.Fatalf("same-seed failover points differ:\n%s\n%s", a, b)
-	}
-}
-
-// TestAppendFailoverPoints checks the BENCH_failover.json appender writes
-// one parseable JSON line per point and appends across calls.
-func TestAppendFailoverPoints(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "failover.json")
-	pts := []FailoverPoint{
-		{Protocol: "SocialTube", Seed: 1, Requests: 16, NoRestartFrac: 1},
-		{Protocol: "NetTube", Seed: 1, Requests: 16, NoRestartFrac: 0.75},
-	}
-	if err := AppendFailoverPoints(path, pts); err != nil {
-		t.Fatal(err)
-	}
-	if err := AppendFailoverPoints(path, pts[:1]); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var n int
-	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
-		var p FailoverPoint
-		if err := json.Unmarshal([]byte(line), &p); err != nil {
-			t.Fatalf("line %q: %v", line, err)
-		}
-		n++
-	}
-	if n != 3 {
-		t.Fatalf("appended %d lines, want 3", n)
 	}
 }

@@ -6,7 +6,9 @@
 package figures
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -637,4 +639,23 @@ func PrefetchAccuracyTable() *metrics.Table {
 		t.AddRow(m, core.PrefetchAccuracy(25, m))
 	}
 	return t
+}
+
+// AppendPoints appends one JSON line per point to path — the BENCH_*.json
+// convention shared by every figure that emits points: a grow-only JSONL
+// log of figure cells, environmental fields included, one run appended
+// after another. Determinism comparisons drop each line's "env" block.
+func AppendPoints[P any](path string, points []P) error {
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	enc := json.NewEncoder(f)
+	for _, p := range points {
+		if err := enc.Encode(p); err != nil {
+			f.Close()
+			return err
+		}
+	}
+	return f.Close()
 }

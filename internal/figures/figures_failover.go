@@ -1,9 +1,7 @@
 package figures
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"github.com/socialtube/socialtube/internal/emu"
 	"github.com/socialtube/socialtube/internal/metrics"
@@ -44,13 +42,6 @@ type FailoverPoint struct {
 	RPCFailures     uint64 `json:"rpcFailures"`
 
 	Env FailoverEnv `json:"env"`
-}
-
-// Canonical returns the point with its environmental block zeroed — the
-// form determinism comparisons use.
-func (p FailoverPoint) Canonical() FailoverPoint {
-	p.Env = FailoverEnv{}
-	return p
 }
 
 // failoverPoint reduces one run to its figure cell.
@@ -122,21 +113,4 @@ func FigFailover(s EmuScale, tr *trace.Trace) (*FigFailoverResult, error) {
 		points = append(points, failoverPoint(cfg, res))
 	}
 	return &FigFailoverResult{Table: t, Points: points}, nil
-}
-
-// AppendFailoverPoints appends one JSON line per point to path — the
-// BENCH_failover.json convention, mirroring AppendScalePoints.
-func AppendFailoverPoints(path string, points []FailoverPoint) error {
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	for _, p := range points {
-		if err := enc.Encode(p); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	return f.Close()
 }

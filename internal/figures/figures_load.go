@@ -2,9 +2,7 @@ package figures
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"github.com/socialtube/socialtube/internal/exp"
@@ -153,8 +151,7 @@ func (sw LoadSweep) progress(msg string) {
 
 // LoadEnv carries a cell's environmental measurements — wall clock and
 // the sharded worker count. They ride along in BENCH_load.json but never
-// enter the figure tables; Canonical() zeroes them for determinism
-// comparisons.
+// enter the figure tables or determinism comparisons.
 type LoadEnv struct {
 	WallMs  float64 `json:"wallMs"`
 	Workers int     `json:"workers,omitempty"`
@@ -192,13 +189,6 @@ type LoadPoint struct {
 	QueuePeak      int     `json:"queuePeak"`
 
 	Env LoadEnv `json:"env"`
-}
-
-// Canonical returns the point with its environmental block zeroed — the
-// form determinism comparisons use.
-func (p LoadPoint) Canonical() LoadPoint {
-	p.Env = LoadEnv{}
-	return p
 }
 
 // loadPoint reduces one cell's run result to its figure point.
@@ -320,23 +310,4 @@ func RunLoad(sw LoadSweep) (*FigLoad, error) {
 			p.P50Ms, p.P99Ms, p.P999Ms, p.ServerShed, p.ShedRate, p.QueuePeak)
 	}
 	return &FigLoad{Table: t, Points: points}, nil
-}
-
-// AppendLoadPoints appends one JSON line per point to path — the
-// BENCH_load.json convention, mirroring BENCH_scale.json: a grow-only
-// JSONL log of load cells, environmental fields included, one run
-// appended after another.
-func AppendLoadPoints(path string, points []LoadPoint) error {
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	for _, p := range points {
-		if err := enc.Encode(p); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	return f.Close()
 }

@@ -1,9 +1,7 @@
 package figures
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"github.com/socialtube/socialtube/internal/exp"
@@ -128,7 +126,7 @@ type ScaleEnv struct {
 	WallMs             float64 `json:"wallMs"`
 	// Workers and ShardLoad appear on sharded-engine points only: the
 	// worker-pool size the run was launched with and the per-community
-	// loop load. They live in Env — Canonical() zeroes them — because
+	// loop load. They live in Env — determinism comparisons drop it — because
 	// busy/barrier-wait are wall-clock and Workers is a launch parameter;
 	// the EventsFired column rides along to give the times a denominator.
 	Workers   int            `json:"workers,omitempty"`
@@ -176,13 +174,6 @@ type ScalePoint struct {
 	RemoteHits    int64 `json:"remoteHits,omitempty"`
 
 	Env ScaleEnv `json:"env"`
-}
-
-// Canonical returns the point with its environmental block zeroed — the
-// form determinism comparisons use.
-func (p ScalePoint) Canonical() ScalePoint {
-	p.Env = ScaleEnv{}
-	return p
 }
 
 // sweepPoint reduces one run result to its sweep cell. probeInterval is
@@ -414,22 +405,4 @@ func scaleMemoryTable(points []ScalePoint) *metrics.Table {
 		t.AddRow(n, p.TraceBytes, p.BytesPerUser)
 	}
 	return t
-}
-
-// AppendScalePoints appends one JSON line per point to path — the
-// BENCH_scale.json convention: a grow-only JSONL log of sweep cells,
-// environmental fields included, one run appended after another.
-func AppendScalePoints(path string, points []ScalePoint) error {
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	for _, p := range points {
-		if err := enc.Encode(p); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	return f.Close()
 }

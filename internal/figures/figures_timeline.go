@@ -2,9 +2,7 @@ package figures
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"github.com/socialtube/socialtube/internal/exp"
@@ -147,22 +145,4 @@ func RunTimeline(s Scale, tr *trace.Trace) (*FigTimeline, error) {
 		Counters: countersTable("Telemetry timeline — protocol counters", protoOrder, results),
 		Points:   points,
 	}, nil
-}
-
-// AppendTimelinePoints appends one JSON line per point to path — the
-// BENCH_timeline.json convention, mirroring BENCH_scale.json: a grow-only
-// JSONL log of timeline cells, one run appended after another.
-func AppendTimelinePoints(path string, points []TimelinePoint) error {
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	for _, p := range points {
-		if err := enc.Encode(p); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	return f.Close()
 }

@@ -1,10 +1,6 @@
 package figures
 
 import (
-	"bufio"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"github.com/socialtube/socialtube/internal/load"
@@ -31,9 +27,8 @@ func TestLoadSweepDeterminism(t *testing.T) {
 		t.Fatalf("point counts differ: %d vs %d", len(a.Points), len(b.Points))
 	}
 	for i := range a.Points {
-		ja, _ := json.Marshal(a.Points[i].Canonical())
-		jb, _ := json.Marshal(b.Points[i].Canonical())
-		if string(ja) != string(jb) {
+		ja, jb := canonical(t, a.Points[i]), canonical(t, b.Points[i])
+		if ja != jb {
 			t.Fatalf("point %d differs across same-seed sweeps:\n%s\nvs\n%s", i, ja, jb)
 		}
 	}
@@ -109,56 +104,9 @@ func TestLoadSweepShardedWorkerInvariance(t *testing.T) {
 		t.Fatalf("point counts: %d and %d, want %d", len(a.Points), len(b.Points), len(protoOrder))
 	}
 	for i := range a.Points {
-		ja, _ := json.Marshal(a.Points[i].Canonical())
-		jb, _ := json.Marshal(b.Points[i].Canonical())
-		if string(ja) != string(jb) {
+		ja, jb := canonical(t, a.Points[i]), canonical(t, b.Points[i])
+		if ja != jb {
 			t.Fatalf("point %d differs between 1 and 4 workers:\n%s\nvs\n%s", i, ja, jb)
-		}
-	}
-}
-
-// TestAppendLoadPoints pins the BENCH_load.json convention: appending
-// twice grows the JSONL log, every line parses back into a LoadPoint, and
-// the canonical form round-trips byte-identically.
-func TestAppendLoadPoints(t *testing.T) {
-	sw := SmokeLoadSweep()
-	sw.RPS = sw.RPS[:1]
-	fig, err := RunLoad(sw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_load.json")
-	if err := AppendLoadPoints(path, fig.Points); err != nil {
-		t.Fatal(err)
-	}
-	if err := AppendLoadPoints(path, fig.Points); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	var got []LoadPoint
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		var p LoadPoint
-		if err := json.Unmarshal(sc.Bytes(), &p); err != nil {
-			t.Fatalf("line %d: %v", len(got), err)
-		}
-		got = append(got, p)
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if want := 2 * len(fig.Points); len(got) != want {
-		t.Fatalf("%d lines, want %d", len(got), want)
-	}
-	for i, p := range got {
-		ja, _ := json.Marshal(p.Canonical())
-		jb, _ := json.Marshal(fig.Points[i%len(fig.Points)].Canonical())
-		if string(ja) != string(jb) {
-			t.Fatalf("line %d did not round-trip:\n%s\nvs\n%s", i, ja, jb)
 		}
 	}
 }

@@ -1,10 +1,6 @@
 package figures
 
 import (
-	"bufio"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"github.com/socialtube/socialtube/internal/core"
@@ -38,9 +34,8 @@ func TestScaleSweepDeterministic(t *testing.T) {
 		t.Fatalf("point counts differ: %d vs %d", len(a.Points), len(b.Points))
 	}
 	for i := range a.Points {
-		ja, _ := json.Marshal(a.Points[i].Canonical())
-		jb, _ := json.Marshal(b.Points[i].Canonical())
-		if string(ja) != string(jb) {
+		ja, jb := canonical(t, a.Points[i]), canonical(t, b.Points[i])
+		if ja != jb {
 			t.Fatalf("point %d differs across same-seed sweeps:\n%s\nvs\n%s", i, ja, jb)
 		}
 	}
@@ -127,9 +122,8 @@ func TestScaleSweepSharded(t *testing.T) {
 		t.Fatalf("point counts: %d and %d, want %d", len(a.Points), len(b.Points), len(protoOrder))
 	}
 	for i := range a.Points {
-		ja, _ := json.Marshal(a.Points[i].Canonical())
-		jb, _ := json.Marshal(b.Points[i].Canonical())
-		if string(ja) != string(jb) {
+		ja, jb := canonical(t, a.Points[i]), canonical(t, b.Points[i])
+		if ja != jb {
 			t.Fatalf("point %d differs between 1 and 4 workers:\n%s\nvs\n%s", i, ja, jb)
 		}
 	}
@@ -164,44 +158,5 @@ func TestScaleSweepSharded(t *testing.T) {
 		if p.Cells != 0 || p.Env.Workers != 0 || p.Env.ShardLoad != nil {
 			t.Fatalf("%s: single-engine point carries sharded fields: %+v", p.Protocol, p)
 		}
-	}
-}
-
-// TestAppendScalePoints pins the BENCH_scale.json convention: one JSON
-// line per point, appended across runs, decodable back into points.
-func TestAppendScalePoints(t *testing.T) {
-	pts := []ScalePoint{
-		{Users: 100, Protocol: "SocialTube", Seed: 1, Requests: 300},
-		{Users: 100, Protocol: "NetTube", Seed: 1, Requests: 300},
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_scale.json")
-	if err := AppendScalePoints(path, pts); err != nil {
-		t.Fatal(err)
-	}
-	if err := AppendScalePoints(path, pts[:1]); err != nil {
-		t.Fatal(err)
-	}
-	file, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer file.Close()
-	var got []ScalePoint
-	sc := bufio.NewScanner(file)
-	for sc.Scan() {
-		var p ScalePoint
-		if err := json.Unmarshal(sc.Bytes(), &p); err != nil {
-			t.Fatalf("line %d: %v", len(got), err)
-		}
-		got = append(got, p)
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("%d lines after two appends, want 3", len(got))
-	}
-	if got[2].Protocol != "SocialTube" || got[1].Protocol != "NetTube" {
-		t.Fatalf("append order lost: %+v", got)
 	}
 }

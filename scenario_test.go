@@ -9,6 +9,7 @@ import (
 	"time"
 
 	socialtube "github.com/socialtube/socialtube"
+	"github.com/socialtube/socialtube/internal/exp"
 )
 
 func quickExperimentConfig() socialtube.ExperimentConfig {
@@ -21,16 +22,16 @@ func quickExperimentConfig() socialtube.ExperimentConfig {
 	return cfg
 }
 
-// TestScenarioMatchesLegacyRun pins the migration contract from the
-// package doc: RunExperimentCtx with no options is bit-identical to the
-// legacy RunExperiment.
+// TestScenarioMatchesLegacyRun pins that RunExperimentCtx with no
+// options is bit-identical to the engine's plain exp.Run on the default
+// network.
 func TestScenarioMatchesLegacyRun(t *testing.T) {
 	tr := smallTrace(t)
 	sys, err := socialtube.NewSystem(socialtube.DefaultSystemConfig(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := socialtube.RunExperiment(quickExperimentConfig(), tr, sys, socialtube.DefaultNetworkConfig())
+	legacy, err := exp.Run(quickExperimentConfig(), tr, sys, socialtube.DefaultNetworkConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestScenarioMatchesLegacyRun(t *testing.T) {
 	jl, _ := json.Marshal(legacy)
 	jc, _ := json.Marshal(ctxed)
 	if string(jl) != string(jc) {
-		t.Fatal("RunExperimentCtx without options diverged from RunExperiment")
+		t.Fatal("RunExperimentCtx without options diverged from exp.Run")
 	}
 }
 

@@ -50,6 +50,12 @@ echo "== sharded engine determinism (race, explicitly) =="
 go test -race -count=1 -run 'Sharded|Partition|Epoch|Mailbox' \
 	./internal/sim/ ./internal/trace/ ./internal/exp/ ./internal/figures/
 
+echo "== benchmark module (vet + test) =="
+# perfbench is a nested module that root "go build ./..." does not
+# compile: vet and test it so a deleted or renamed symbol it uses fails
+# here rather than in the benchmark run.
+(cd perfbench && go vet ./... && go test -count=1 ./...)
+
 echo "== short benchmarks (allocations) =="
 go test -run '^$' -bench 'BenchmarkFlood|BenchmarkMeshConnect|BenchmarkNeighbors' -benchtime 100x -benchmem ./internal/overlay/
 go test -run '^$' -bench 'BenchmarkRequest|BenchmarkProbe|BenchmarkEngine' -benchtime 100x -benchmem ./internal/core/ ./internal/sim/
@@ -113,7 +119,8 @@ go test -race -count=1 -run 'Steady|Ramp|Sweep|Burst|Diurnal|FlashCrowd|Split|Se
 echo "== load figure smoke (tiny sweep, canonical-stable points) =="
 # Same tiny sweep twice: every emitted line must parse as a point, and
 # the two runs must agree byte-for-byte once the env block (wall time,
-# workers) is stripped — the canonical form the determinism tests pin.
+# workers) is stripped — the same env-dropped form the figures tests'
+# canonical helper compares.
 go run ./cmd/socialtube-sim -fig load -load-rps 3,18 -load-dur 20s \
 	-bench-out "$tracetmp/BENCH_load_a.json" > /dev/null
 go run ./cmd/socialtube-sim -fig load -load-rps 3,18 -load-dur 20s \

@@ -1,6 +1,7 @@
 package socialtube_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -35,7 +36,7 @@ func TestPublicAPIEndToEndSimulation(t *testing.T) {
 	cfg.WatchScale = 0.05
 	cfg.MeanOffTime = 60 * time.Second
 	cfg.Horizon = 6 * time.Hour
-	res, err := socialtube.RunExperiment(cfg, tr, sys, socialtube.DefaultNetworkConfig())
+	res, err := socialtube.RunExperimentCtx(context.Background(), cfg, tr, sys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestPublicAPIEmulation(t *testing.T) {
 	cfg.Sessions = 1
 	cfg.VideosPerSession = 3
 	cfg.WatchTime = 5 * time.Millisecond
-	res, err := socialtube.RunCluster(cfg, tr)
+	res, err := socialtube.RunClusterCtx(context.Background(), cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,5 +109,20 @@ func TestPublicAPITraceSummary(t *testing.T) {
 	s := tr.Summarize()
 	if s.Users != 200 || s.Channels != 80 {
 		t.Fatalf("summary %+v does not match config", s)
+	}
+}
+
+// TestEmptyTrackerAddressFailsAtConstruction: building a peer against an
+// empty tracker address fails when its 1x1 plane is built, not at the
+// peer's first tracker RPC.
+func TestEmptyTrackerAddressFailsAtConstruction(t *testing.T) {
+	tr := smallTrace(t)
+	cp, err := socialtube.NewControlPlaneClient(0, [][]string{{""}})
+	if err == nil {
+		t.Fatal("empty tracker address accepted")
+	}
+	cfg := socialtube.DefaultPeerConfig(0, socialtube.ModeSocialTube)
+	if _, err := socialtube.NewPeerWithControlPlane(cfg, tr, cp, nil); err == nil {
+		t.Fatal("peer built over a plane that failed to construct")
 	}
 }
